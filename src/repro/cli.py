@@ -54,7 +54,11 @@ from repro.eval import (
 from repro.extraction.pipeline import RecordExtractor
 from repro.linkgrammar.parser import LinkGrammarParser
 from repro.nlp.pipeline import analyze
-from repro.records.loader import load_records, save_records
+from repro.records.loader import (
+    check_unique_ids,
+    load_records,
+    save_records,
+)
 from repro.runtime.tracing import (
     Tracer,
     build_manifest,
@@ -572,6 +576,7 @@ def _resolve_parse_cache(
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     records = list(load_records(args.input))
+    check_unique_ids(args.input, records)
     artifact, artifact_path = _resolve_artifact(args)
     if artifact is not None:
         extractor = artifact.make_extractor(
@@ -881,6 +886,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             )
             return 2
         records = list(load_records(args.input))
+        check_unique_ids(args.input, records)
         results, quarantined = client.extract_many(
             records, deadline_s=args.deadline
         )
@@ -996,14 +1002,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
         print(render_style_table(results))
         print(f"wrote {args.output}")
+        status = 0
         if args.seed != 42:
             print(
                 "note: baseline gate applies to --seed 42 only",
                 file=sys.stderr,
             )
-            return 0
-        status = 0
-        if not results["baseline_match"]:
+        elif not results["baseline_match"]:
             print(
                 "error: consistent-style accuracy deviates from the "
                 "pinned baseline (see EVAL_styles.json)",

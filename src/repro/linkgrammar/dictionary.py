@@ -9,7 +9,7 @@ generic noun/verb/adjective entries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import DictionaryError
 from repro.linkgrammar.connectors import Connector, connectors_match
@@ -34,15 +34,88 @@ MatchTables = tuple[
     dict[str, set[str]],
 ]
 
-#: (plus_rows, minus_rows, plus_ids, minus_ids) — see
-#: :meth:`Dictionary.bitset_tables`.
-BitsetTables = tuple[
-    dict[str, int],
-    dict[str, int],
-    dict[str, int],
-    dict[str, int],
-]
 
+
+class DisjunctCode(NamedTuple):
+    """A disjunct in the parse session's small-int alphabet.
+
+    ``left``/``right`` are connector ids, farthest-first like the
+    disjunct's own tuples; ``mask`` has bit ``cid`` set for every
+    connector the disjunct carries (power pruning tests it against
+    a word's dead connectors in one AND).  ``disjunct`` is the
+    source object, which also pins its ``id()`` as the cache key.
+    """
+
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    cost: int
+    mask: int
+    disjunct: Disjunct
+
+
+class DisjunctEncoding:
+    """Small-int connector ids plus per-disjunct codes for one dictionary.
+
+    Every (direction, label) pair in the match table gets an index
+    ``k`` (right-pointing labels first, sorted), and a connector's id
+    is ``2 * k + multi`` — so ``cid & 1`` is the ``@`` flag and
+    ``cid < plus_limit`` means it points right.  ``links[cid]`` is
+    the bitmask of opposite-direction ids *cid* can link to, so a
+    match test is ``links[a] >> b & 1``.
+
+    ``codes`` caches one :class:`DisjunctCode` per distinct
+    :class:`Disjunct` object, keyed by ``id()`` (the code holds the
+    disjunct, so the id cannot be recycled while cached).  Keying per
+    object rather than per list slot keeps the cache at a few
+    thousand entries: the expanded dictionary repeats ~5k distinct
+    disjuncts across ~350k list slots.
+    """
+
+    def __init__(self, table: dict[tuple[str, str], bool]) -> None:
+        plus = sorted({pl for pl, _ in table})
+        minus = sorted({ml for _, ml in table})
+        self._index = {("+", label): k for k, label in enumerate(plus)}
+        self._index.update(
+            (("-", label), len(plus) + k) for k, label in enumerate(minus)
+        )
+        self.plus_limit = 2 * len(plus)
+        rows = dict.fromkeys(self._index.values(), 0)
+        for (pl, ml), ok in table.items():
+            if ok:
+                p, m = self._index["+", pl], self._index["-", ml]
+                rows[p] |= 0b11 << (2 * m)
+                rows[m] |= 0b11 << (2 * p)
+        self.links = [rows[cid >> 1] for cid in range(2 * len(rows))]
+        #: A representative connector per id, filled as disjuncts are
+        #: encoded; link labels are computed from these.
+        self.connectors: list[Connector | None] = [None] * len(self.links)
+        self.codes: dict[int, DisjunctCode] = {}
+
+    def encode(self, disjuncts: list[Disjunct]) -> list[DisjunctCode]:
+        """Codes for *disjuncts*, in order."""
+        codes = self.codes
+        try:
+            return [codes[id(d)] for d in disjuncts]
+        except KeyError:
+            pass
+        for d in disjuncts:
+            if id(d) not in codes:
+                codes[id(d)] = self._encode(d)
+        return [codes[id(d)] for d in disjuncts]
+
+    def _encode(self, disjunct: Disjunct) -> DisjunctCode:
+        mask = 0
+        ids = []
+        for side in (disjunct.left, disjunct.right):
+            side_ids = []
+            for c in side:
+                cid = 2 * self._index[c.direction, c.label] + c.multi
+                if self.connectors[cid] is None:
+                    self.connectors[cid] = c
+                side_ids.append(cid)
+                mask |= 1 << cid
+            ids.append(tuple(side_ids))
+        return DisjunctCode(ids[0], ids[1], disjunct.cost, mask, disjunct)
 
 def _substitute_macros(expression: str) -> str:
     """Textually expand ``<name>`` macros (macros may nest one level)."""
@@ -88,7 +161,7 @@ class Dictionary:
             self._tag_defaults.append((tag, self._expand(expression)))
         self._number_disjuncts = self._expand(NUMBER_EXPR)
         self._match_tables: MatchTables | None = None
-        self._bitset_tables: BitsetTables | None = None
+        self._encoding: DisjunctEncoding | None = None
         self._signature: str | None = None
 
     @classmethod
@@ -107,7 +180,7 @@ class Dictionary:
         self._number_disjuncts = grammar.number_disjuncts
         self._expression_cache = {}
         self._match_tables = grammar.match_tables
-        self._bitset_tables = None
+        self._encoding = None
         self._signature = grammar.signature
         return self
 
@@ -129,7 +202,7 @@ class Dictionary:
         # New entries may introduce connectors the precomputed match
         # table has never seen; recompute lazily on the next parse.
         self._match_tables = None
-        self._bitset_tables = None
+        self._encoding = None
         self._signature = None
 
     def match_tables(self) -> MatchTables:
@@ -159,24 +232,18 @@ class Dictionary:
             self._match_tables = cached
         return cached
 
-    def bitset_tables(self) -> BitsetTables:
-        """Integer-indexed bitmask view of :meth:`match_tables`.
-
-        Every distinct right-pointing (plus) and left-pointing (minus)
-        label gets a small integer id; ``plus_rows[plus_label]`` is an
-        int bitmask with bit ``minus_ids[m]`` set for every minus
-        label ``m`` the plus label can link to (``minus_rows`` is the
-        transpose).  The parser's hot paths then test one bit instead
-        of hashing a ``(str, str)`` tuple per candidate pair.
+    def encoding(self) -> DisjunctEncoding:
+        """Small-int connector encoding the parser's sessions run on.
 
         Derived lazily from :meth:`match_tables` — compiled artifacts
-        keep their existing on-disk format — cached, and invalidated
-        by :meth:`add` alongside the match tables.
+        keep their existing on-disk format — cached together with the
+        per-disjunct codes it accumulates, and invalidated by
+        :meth:`add` alongside the match tables.
         """
-        cached = self._bitset_tables
+        cached = self._encoding
         if cached is None:
-            cached = bitsets_from_table(self.match_tables()[0])
-            self._bitset_tables = cached
+            cached = DisjunctEncoding(self.match_tables()[0])
+            self._encoding = cached
         return cached
 
     def disjuncts(
@@ -275,33 +342,6 @@ def _build_match_tables(
             matchers_for_left.setdefault(ml, set()).add(pl)
             matchers_for_right.setdefault(pl, set()).add(ml)
     return table, matchers_for_left, matchers_for_right
-
-
-def bitsets_from_table(
-    table: dict[tuple[str, str], bool],
-) -> BitsetTables:
-    """Compile a label-pair match table into packed bitset rows.
-
-    Ids are assigned in sorted label order so the same table always
-    produces the same bit layout (the layout never leaves the process,
-    but determinism keeps parses reproducible under any id-dependent
-    iteration).
-    """
-    plus_ids = {
-        label: i
-        for i, label in enumerate(sorted({pl for pl, _ in table}))
-    }
-    minus_ids = {
-        label: i
-        for i, label in enumerate(sorted({ml for _, ml in table}))
-    }
-    plus_rows = dict.fromkeys(plus_ids, 0)
-    minus_rows = dict.fromkeys(minus_ids, 0)
-    for (pl, ml), ok in table.items():
-        if ok:
-            plus_rows[pl] |= 1 << minus_ids[ml]
-            minus_rows[ml] |= 1 << plus_ids[pl]
-    return plus_rows, minus_rows, plus_ids, minus_ids
 
 
 def _looks_numeric(word: str) -> bool:

@@ -36,15 +36,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import ParseFailure, ParseTimeout
-from repro.linkgrammar.connectors import (
-    Connector,
-    connectors_match,
-    link_label,
-)  # Connector is used in type aliases and pruning below.
+from repro.linkgrammar.connectors import Connector, link_label
 from repro.linkgrammar.dictionary import (
     LEFT_WALL,
-    BitsetTables,
     Dictionary,
+    DisjunctCode,
+    DisjunctEncoding,
     MatchTables,
     default_dictionary,
 )
@@ -58,6 +55,7 @@ from repro.linkgrammar.linkage import Link, Linkage
 _STRIP_TOKENS = {".", "!", "?", ";"}
 
 ConnList = tuple[Connector, ...]
+CodeList = tuple[int, ...]
 
 
 @dataclass
@@ -75,8 +73,8 @@ class ParserStats:
     disjuncts_before: int = 0
     disjuncts_after: int = 0
     parse_seconds: float = 0.0
-    #: Candidate disjuncts admitted by a bitset gate test in the
-    #: region recurrence (0 when the bitset path is off).
+    #: Candidate disjuncts the region recurrence visited after the
+    #: head-connector bit test (0 under the ``bitset=False`` oracle).
     match_bitset_hits: int = 0
     #: Disjuncts dropped by cost-bounded beam pruning (``beam=``).
     beam_pruned: int = 0
@@ -127,9 +125,13 @@ class LinkGrammarParser:
     the flag exists so that equivalence stays testable and ablations
     can measure what pruning buys.
 
-    ``bitset=False`` falls back from the packed-bitmask match tables
-    to the string-pair dict — again bit-for-bit identical output, the
-    toggle exists for parity tests and ablations.  ``beam`` (off by
+    Sessions run on the dictionary's small-int connector encoding
+    (:meth:`Dictionary.encoding`).  ``bitset=False`` swaps in the
+    label-set session — connector objects, string-pair match dict,
+    set-algebra pruning — the independent implementation the
+    integer session is checked against: bit-for-bit identical output,
+    several times slower, kept only for parity tests and the parse
+    benchmark's cold lane.  ``beam`` (off by
     default) enables cost-bounded beam pruning: at each word,
     disjuncts costing more than ``cheapest + beam`` are dropped before
     the recurrence.  Unlike power pruning this is an approximation —
@@ -222,18 +224,18 @@ class LinkGrammarParser:
             deadline = (
                 started if started is not None else time.perf_counter()
             ) + self.time_budget
-        session = _ParseSession(
-            sentence,
-            disjuncts,
-            prune=self.prune,
-            deadline=deadline,
-            budget=self.time_budget,
-            match_tables=self.dictionary.match_tables(),
-            bitset_tables=(
-                self.dictionary.bitset_tables() if self.bitset else None
-            ),
-            beam=self.beam,
-        )
+        if self.bitset:
+            session = _ParseSession(
+                sentence, disjuncts, self.dictionary.encoding(),
+                prune=self.prune, deadline=deadline,
+                budget=self.time_budget, beam=self.beam,
+            )
+        else:
+            session = _LabelSetSession(
+                sentence, disjuncts, self.dictionary.match_tables(),
+                prune=self.prune, deadline=deadline,
+                budget=self.time_budget, beam=self.beam,
+            )
         self.stats.disjuncts_before += session.disjuncts_before
         self.stats.disjuncts_after += session.disjuncts_after
         self.stats.beam_pruned += session.beam_pruned
@@ -346,22 +348,60 @@ class LinkGrammarParser:
         return kept, token_map
 
 
+def _variants(
+    plus_list: CodeList, minus_list: CodeList
+) -> list[tuple[CodeList, CodeList]]:
+    """Successor list pairs after linking two matching head connectors.
+
+    ``plus_list`` belongs to the earlier word (pointing right),
+    ``minus_list`` to the later word (pointing left), both
+    farthest-first.  Multi-connectors (odd ids) may stay for further
+    links.
+    """
+    a, b = plus_list[0] & 1, minus_list[0] & 1
+    variants = [(plus_list[1:], minus_list[1:])]
+    if a:
+        variants.append((plus_list, minus_list[1:]))
+    if b:
+        variants.append((plus_list[1:], minus_list))
+    if a and b:
+        variants.append((plus_list, minus_list))
+    return variants
+
+
+def _union(codes: list[DisjunctCode]) -> int:
+    """Bitmask of every connector id carried by *codes*."""
+    bits = 0
+    for code in codes:
+        bits |= code.mask
+    return bits
+
+
 class _ParseSession:
-    """One sentence's memo tables and extraction state."""
+    """One sentence's memo tables and extraction state.
+
+    Runs on the dictionary's small-int encoding
+    (:class:`~repro.linkgrammar.dictionary.DisjunctEncoding`):
+    connector lists are tuples of ids, memo keys are int tuples, and
+    a match is one bit test.  Each region only visits the candidate
+    disjuncts of an interior word ``W`` whose head connector can take
+    the region's forced head — bucketed per ``(W, head id)`` from W's
+    pruned disjuncts in their original order, because extraction
+    stops at ``max_linkages`` and counting caps at 1e6, so the visit
+    order is part of the output.
+    """
 
     def __init__(
         self,
         sentence: list[str],
         disjuncts: list[list[Disjunct]],
+        tables: "DisjunctEncoding | MatchTables",
         prune: bool = True,
         deadline: float | None = None,
         budget: float | None = None,
-        match_tables: "MatchTables | None" = None,
-        bitset_tables: "BitsetTables | None" = None,
         beam: int | None = None,
     ) -> None:
         self.sentence = sentence
-        self.disjuncts = [list(d) for d in disjuncts]
         self.n = len(sentence)
         self._deadline = deadline
         self._budget = budget
@@ -369,94 +409,26 @@ class _ParseSession:
         self._count_memo: dict[tuple, int] = {}
         self.match_bitset_hits = 0
         self.beam_pruned = 0
-        if match_tables is not None:
-            # Dictionary-wide tables (possibly AOT-compiled): cover a
-            # superset of this sentence's labels, so no per-sentence
-            # table build.  Pruning intersects the matcher sets with
-            # the labels actually present, making the superset exact.
-            (
-                self._table,
-                self._matchers_for_left,
-                self._matchers_for_right,
-            ) = match_tables
-        else:
-            self._table = self._build_match_table()
-            self._matchers_for_left = {}
-            self._matchers_for_right = {}
-            for (pl, ml), ok in self._table.items():
-                if ok:
-                    self._matchers_for_left.setdefault(
-                        ml, set()
-                    ).add(pl)
-                    self._matchers_for_right.setdefault(
-                        pl, set()
-                    ).add(ml)
-        self._use_bitset = bitset_tables is not None
-        if bitset_tables is not None:
-            (
-                self._plus_rows,
-                self._minus_rows,
-                self._plus_ids,
-                self._minus_ids,
-            ) = bitset_tables
-        self.disjuncts_before = sum(len(d) for d in self.disjuncts)
+        self.disjuncts_before = sum(len(d) for d in disjuncts)
+        self._load(disjuncts, tables)
         if prune:
-            self._prune_bitset() if self._use_bitset else self._prune()
+            self._prune()
         self.disjuncts_after = sum(len(d) for d in self.disjuncts)
         if beam is not None:
             self._beam_prune(beam)
-        if self._use_bitset:
-            # Per-word gate arrays aligned with the (pruned) disjunct
-            # lists: the id of each disjunct's first left connector and
-            # the bitmask row of its first right connector, so the
-            # recurrence gates below test one precomputed bit.
-            minus_ids, plus_rows = self._minus_ids, self._plus_rows
-            self._left_head_ids = [
-                [
-                    minus_ids.get(d.left[0].label, -1) if d.left else -1
-                    for d in ds
-                ]
-                for ds in self.disjuncts
-            ]
-            self._right_head_rows = [
-                [
-                    plus_rows.get(d.right[0].label, 0) if d.right else 0
-                    for d in ds
-                ]
-                for ds in self.disjuncts
-            ]
 
-    def _build_match_table(self) -> dict[tuple[str, str], bool]:
-        """Precompute label-pair matches for this sentence's connectors.
-
-        The recurrence and the pruning pass both test the same small
-        set of (right-pointing, left-pointing) label pairs millions of
-        times; one pass over the distinct labels replaces every
-        ``connectors_match`` call with a dict lookup.
-        """
-        plus: dict[str, Connector] = {}
-        minus: dict[str, Connector] = {}
-        for ds in self.disjuncts:
-            for d in ds:
-                for c in d.right:
-                    plus.setdefault(c.label, c)
-                for c in d.left:
-                    minus.setdefault(c.label, c)
-        return {
-            (pl, ml): connectors_match(pc, mc)
-            for pl, pc in plus.items()
-            for ml, mc in minus.items()
-        }
-
-    def _match(self, plus: Connector, minus: Connector) -> bool:
-        """Precomputed label-pair lookup (see _build_match_table)."""
-        if self._use_bitset:
-            mid = self._minus_ids.get(minus.label, -1)
-            return (
-                mid >= 0
-                and (self._plus_rows.get(plus.label, 0) >> mid) & 1 != 0
-            )
-        return self._table[plus.label, minus.label]
+    def _load(
+        self, disjuncts: list[list[Disjunct]], encoding: "DisjunctEncoding"
+    ) -> None:
+        self.disjuncts: list[list] = [
+            encoding.encode(ds) for ds in disjuncts
+        ]
+        self._links = encoding.links
+        self._plus_limit = encoding.plus_limit
+        self._connectors = encoding.connectors
+        self._buckets: list[dict[int, list[DisjunctCode]]] = [
+            {} for _ in range(self.n)
+        ]
 
     def _beam_prune(self, beam: int) -> None:
         """Cost-bounded beam pruning (approximate — see parser docs).
@@ -475,6 +447,306 @@ class _ParseSession:
             if len(kept) != len(ds):
                 self.beam_pruned += len(ds) - len(kept)
                 self.disjuncts[i] = kept
+
+    def _prune(self) -> None:
+        """Power pruning: drop disjuncts with unconnectable connectors.
+
+        A disjunct survives only while each of its left connectors can
+        match some right connector available on an earlier word and
+        each right connector some left connector on a later word.
+        Iterates to the greatest fixpoint; typically removes the large
+        majority of tag-default disjuncts and makes the O(n³)
+        recurrence fast.
+
+        Each pass tests every distinct connector of a word once
+        against the connectors before/after it, collecting a mask of
+        dead ids; a disjunct goes when its own connector mask meets
+        it, and a word without dead connectors is left alone.
+        """
+        links, plus_limit = self._links, self._plus_limit
+        words = self.disjuncts
+        n = self.n
+        bits = [_union(ds) for ds in words]
+        changed = True
+        while changed:
+            changed = False
+            # Connectors available strictly before / after word i.
+            before = [0] * n
+            after = [0] * n
+            pool = 0
+            for i in range(n):
+                before[i] = pool
+                pool |= bits[i]
+            pool = 0
+            for i in range(n - 1, -1, -1):
+                after[i] = pool
+                pool |= bits[i]
+            for i in range(n):
+                dead = 0
+                todo = bits[i]
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    cid = low.bit_length() - 1
+                    partners = after[i] if cid < plus_limit else before[i]
+                    if not partners & links[cid]:
+                        dead |= low
+                if dead:
+                    kept = [c for c in words[i] if not c.mask & dead]
+                    words[i] = kept
+                    bits[i] = _union(kept)
+                    changed = True
+
+    def _check_deadline(self) -> None:
+        """Raise :class:`ParseTimeout` once the budget is exhausted.
+
+        Called unconditionally when extraction starts and every 256
+        recurrence steps after, so even a zero budget fails fast and a
+        pathological sentence cannot wedge the engine: the timeout is
+        a :class:`ParseFailure`, so callers fall back to the paper's
+        linguistic patterns exactly as they do for fragments.
+        """
+        if (
+            self._deadline is not None
+            and time.perf_counter() > self._deadline
+        ):
+            raise ParseTimeout(
+                self.sentence[1:], self._budget or 0.0
+            )
+
+    # The wall's disjuncts have no left connectors; the virtual right
+    # boundary is position n with an empty connector list.
+
+    def linkages(
+        self, limit: int
+    ) -> list[tuple[frozenset[Link], int]]:
+        self._check_deadline()
+        found: dict[frozenset[Link], int] = {}
+        for disjunct in self.disjuncts[0]:
+            if disjunct.left:
+                continue
+            if not self._count(0, self.n, disjunct.right, ()):
+                continue
+            for links, cost in self._extract(0, self.n, disjunct.right, ()):
+                key = frozenset(links)
+                if key not in found or cost < found[key]:
+                    found[key] = cost + disjunct.cost
+                if len(found) >= limit:
+                    break
+            if len(found) >= limit:
+                break
+        return list(found.items())
+
+    def _candidates(self, W: int, head: int) -> list[DisjunctCode]:
+        """W's disjuncts whose head connector can take *head*.
+
+        A right-pointing *head* (le's, on the region's left word) must
+        be taken by the disjunct's first left connector; a
+        left-pointing one (re's) by its first right connector.
+        """
+        bucket = self._buckets[W]
+        found = bucket.get(head)
+        if found is None:
+            row = self._links[head]
+            if head < self._plus_limit:
+                found = [
+                    c for c in self.disjuncts[W]
+                    if c.left and row >> c.left[0] & 1
+                ]
+            else:
+                found = [
+                    c for c in self.disjuncts[W]
+                    if c.right and row >> c.right[0] & 1
+                ]
+            bucket[head] = found
+        return found
+
+    def _match_variants(
+        self, plus_list: CodeList, minus_list: CodeList
+    ) -> list[tuple[CodeList, CodeList]]:
+        """:func:`_variants` when the heads match, else nothing."""
+        if (
+            plus_list
+            and minus_list
+            and self._links[plus_list[0]] >> minus_list[0] & 1
+        ):
+            return _variants(plus_list, minus_list)
+        return []
+
+    # ------------------------------------------------------------ count
+
+    def _count(self, L: int, R: int, le: CodeList, re: CodeList) -> int:
+        """Number of linkages of region (L, R) — capped, used to prune."""
+        if R == L + 1:
+            return 0 if le or re else 1
+        if not le and not re:
+            return 0
+        key = (L, R, le, re)
+        memo = self._count_memo.get(key)
+        if memo is not None:
+            return memo
+        self._ops += 1
+        if not self._ops & 255:
+            self._check_deadline()
+        # With connectors left on L, W must take le's head; otherwise
+        # it must take re's head.
+        head = le[0] if le else re[0]
+        buckets = self._buckets
+        total = 0
+        for W in range(L + 1, R):
+            candidates = buckets[W].get(head)
+            if candidates is None:
+                candidates = self._candidates(W, head)
+            for code in candidates:
+                self.match_bitset_hits += 1
+                total += self._count_choice(L, R, le, re, W, code)
+                if total > 1_000_000:  # cap to avoid huge ints
+                    self._count_memo[key] = total
+                    return total
+        self._count_memo[key] = total
+        return total
+
+    def _count_choice(
+        self, L: int, R: int, le: CodeList, re: CodeList,
+        W: int, code: DisjunctCode,
+    ) -> int:
+        count = self._count
+        dl, dr = code.left, code.right
+        # A candidate's left head already matches le's (see _count).
+        # Plain heads (no multi-connector, the common case) have the
+        # single successor pair; _variants spells out the general one.
+        leftcount = 0
+        if le:
+            if (le[0] | dl[0]) & 1:
+                for nle, ndl in _variants(le, dl):
+                    leftcount += count(L, W, nle, ndl)
+            else:
+                leftcount = count(L, W, le[1:], dl[1:])
+        rightcount = 0
+        if re and dr and self._links[dr[0]] >> re[0] & 1:
+            if (dr[0] | re[0]) & 1:
+                for ndr, nre in _variants(dr, re):
+                    rightcount += count(W, R, ndr, nre)
+            else:
+                rightcount = count(W, R, dr[1:], re[1:])
+        total = leftcount * rightcount
+        if leftcount:
+            total += leftcount * count(W, R, dr, re)
+        # The decomposition is unique because W is pinned to the word
+        # that le's head connector links to; only when L has no
+        # connectors left may W instead be the target of re's head.
+        if not le and rightcount:
+            total += count(L, W, le, dl) * rightcount
+        return total
+
+    # --------------------------------------------------------- extract
+
+    def _extract(
+        self, L: int, R: int, le: CodeList, re: CodeList
+    ) -> Iterator[tuple[list[Link], int]]:
+        """Generate (links, cost) for region (L, R) — mirrors _count."""
+        if R == L + 1:
+            if not le and not re:
+                yield [], 0
+            return
+        if not le and not re:
+            return
+        head = le[0] if le else re[0]
+        for W in range(L + 1, R):
+            for code in self._candidates(W, head):
+                yield from self._extract_choice(L, R, le, re, W, code)
+
+    def _extract_choice(
+        self, L: int, R: int, le: CodeList, re: CodeList,
+        W: int, code: DisjunctCode,
+    ) -> Iterator[tuple[list[Link], int]]:
+        dl, dr = code.left, code.right
+        left_variants = self._match_variants(le, dl)
+        right_variants = self._match_variants(dr, re)
+        has_left = any(
+            self._count(L, W, nle, ndl) for nle, ndl in left_variants
+        )
+        has_right = any(
+            self._count(W, R, ndr, nre) for ndr, nre in right_variants
+        )
+        connectors = self._connectors
+
+        def left_link() -> Link:
+            return Link(
+                L, W, link_label(connectors[le[0]], connectors[dl[0]])
+            )
+
+        def right_link() -> Link:
+            return Link(
+                W, R, link_label(connectors[dr[0]], connectors[re[0]])
+            )
+
+        # Both boundary links.
+        if has_left and has_right:
+            for nle, ndl in left_variants:
+                if not self._count(L, W, nle, ndl):
+                    continue
+                for llinks, lcost in self._extract(L, W, nle, ndl):
+                    for ndr, nre in right_variants:
+                        if not self._count(W, R, ndr, nre):
+                            continue
+                        for rlinks, rcost in self._extract(W, R, ndr, nre):
+                            yield (
+                                llinks + rlinks + [left_link(), right_link()],
+                                lcost + rcost + code.cost,
+                            )
+        # Left boundary link only.
+        if has_left and self._count(W, R, dr, re):
+            for nle, ndl in left_variants:
+                if not self._count(L, W, nle, ndl):
+                    continue
+                for llinks, lcost in self._extract(L, W, nle, ndl):
+                    for rlinks, rcost in self._extract(W, R, dr, re):
+                        yield (
+                            llinks + rlinks + [left_link()],
+                            lcost + rcost + code.cost,
+                        )
+        # Right boundary link only (legal only with an exhausted le —
+        # see _count_choice).
+        if not le and has_right and self._count(L, W, le, dl):
+            for ndr, nre in right_variants:
+                if not self._count(W, R, ndr, nre):
+                    continue
+                for rlinks, rcost in self._extract(W, R, ndr, nre):
+                    for llinks, lcost in self._extract(L, W, le, dl):
+                        yield (
+                            llinks + rlinks + [right_link()],
+                            lcost + rcost + code.cost,
+                        )
+
+
+class _LabelSetSession(_ParseSession):
+    """The same recurrence over connector objects and label sets.
+
+    The parity oracle behind ``LinkGrammarParser(bitset=False)``:
+    matches are dictionary lookups on ``(plus label, minus label)``
+    and pruning is set algebra over label strings.  Slower, and kept
+    only so tests and benchmarks can check the integer session
+    against an independent implementation.
+    """
+
+    def _load(
+        self, disjuncts: list[list[Disjunct]], match_tables: "MatchTables"
+    ) -> None:
+        self.disjuncts = [list(d) for d in disjuncts]
+        # Dictionary-wide tables (possibly AOT-compiled): cover a
+        # superset of this sentence's labels, so no per-sentence
+        # table build.  Pruning intersects the matcher sets with
+        # the labels actually present, making the superset exact.
+        (
+            self._table,
+            self._matchers_for_left,
+            self._matchers_for_right,
+        ) = match_tables
+
+    def _match(self, plus: Connector, minus: Connector) -> bool:
+        """Precomputed label-pair lookup."""
+        return self._table[plus.label, minus.label]
 
     def _prune(self) -> None:
         """Power pruning: drop disjuncts with unconnectable connectors.
@@ -533,99 +805,6 @@ class _ParseSession:
                     self.disjuncts[i] = kept
                     changed = True
 
-    def _prune_bitset(self) -> None:
-        """Power pruning over packed bitmask rows — same fixpoint as
-        :meth:`_prune`, with the label-set algebra replaced by integer
-        AND: ``rights_before``/``lefts_after`` become bitmasks over
-        connector ids and each survival test is one mask intersection.
-        Keeps exactly the same disjuncts in the same order.
-        """
-        plus_ids, minus_ids = self._plus_ids, self._minus_ids
-        plus_rows, minus_rows = self._plus_rows, self._minus_rows
-
-        changed = True
-        while changed:
-            changed = False
-            # Right-pointing label ids available strictly before word i.
-            rights_before: list[int] = []
-            pool = 0
-            for ds in self.disjuncts:
-                rights_before.append(pool)
-                for d in ds:
-                    for c in d.right:
-                        pid = plus_ids.get(c.label)
-                        if pid is not None:
-                            pool |= 1 << pid
-            # Left-pointing label ids available strictly after word i.
-            lefts_after = [0] * self.n
-            pool = 0
-            for i in range(self.n - 1, -1, -1):
-                lefts_after[i] = pool
-                for d in self.disjuncts[i]:
-                    for c in d.left:
-                        mid = minus_ids.get(c.label)
-                        if mid is not None:
-                            pool |= 1 << mid
-            for i, ds in enumerate(self.disjuncts):
-                before, after = rights_before[i], lefts_after[i]
-                kept = [
-                    d
-                    for d in ds
-                    if all(
-                        before & minus_rows.get(c.label, 0)
-                        for c in d.left
-                    )
-                    and all(
-                        after & plus_rows.get(c.label, 0)
-                        for c in d.right
-                    )
-                ]
-                if len(kept) != len(ds):
-                    self.disjuncts[i] = kept
-                    changed = True
-
-    def _check_deadline(self) -> None:
-        """Raise :class:`ParseTimeout` once the budget is exhausted.
-
-        Called unconditionally when extraction starts and every 256
-        recurrence steps after, so even a zero budget fails fast and a
-        pathological sentence cannot wedge the engine: the timeout is
-        a :class:`ParseFailure`, so callers fall back to the paper's
-        linguistic patterns exactly as they do for fragments.
-        """
-        if (
-            self._deadline is not None
-            and time.perf_counter() > self._deadline
-        ):
-            raise ParseTimeout(
-                self.sentence[1:], self._budget or 0.0
-            )
-
-    # The wall's disjuncts have no left connectors; the virtual right
-    # boundary is position n with an empty connector list.
-
-    def linkages(
-        self, limit: int
-    ) -> list[tuple[frozenset[Link], int]]:
-        self._check_deadline()
-        found: dict[frozenset[Link], int] = {}
-        for disjunct in self.disjuncts[0]:
-            if disjunct.left:
-                continue
-            if not self._count(0, self.n, disjunct.right, ()):
-                continue
-            for links, cost in self._extract(0, self.n, disjunct.right, ()):
-                key = frozenset(links)
-                if key not in found or cost < found[key]:
-                    found[key] = cost + disjunct.cost
-                if len(found) >= limit:
-                    break
-            if len(found) >= limit:
-                break
-        return list(found.items())
-
-    # ------------------------------------------------------------ count
-
     def _count(self, L: int, R: int, le: ConnList, re: ConnList) -> int:
         """Number of linkages of region (L, R) — capped, used to prune."""
         self._ops += 1
@@ -642,41 +821,6 @@ class _ParseSession:
         total = 0
         le_head = le[0] if le else None
         re_head = re[0] if re else None
-        if self._use_bitset:
-            # Same gate as below, vectorized: the row bitmask for the
-            # forced head is fetched once per region and each candidate
-            # disjunct is admitted by one precomputed bit test.
-            if le_head is not None:
-                row = self._plus_rows.get(le_head.label, 0)
-                for W in range(L + 1, R):
-                    head_ids = self._left_head_ids[W]
-                    for j, d in enumerate(self.disjuncts[W]):
-                        lid = head_ids[j]
-                        if lid < 0 or not (row >> lid) & 1:
-                            continue
-                        self.match_bitset_hits += 1
-                        total += self._count_choice(L, R, le, re, W, d)
-                        if total > 1_000_000:  # cap to avoid huge ints
-                            self._count_memo[key] = total
-                            return total
-            else:
-                rid = self._minus_ids.get(re_head.label, -1)
-                if rid >= 0:
-                    bit = 1 << rid
-                    for W in range(L + 1, R):
-                        head_rows = self._right_head_rows[W]
-                        for j, d in enumerate(self.disjuncts[W]):
-                            if not head_rows[j] & bit:
-                                continue
-                            self.match_bitset_hits += 1
-                            total += self._count_choice(
-                                L, R, le, re, W, d
-                            )
-                            if total > 1_000_000:
-                                self._count_memo[key] = total
-                                return total
-            self._count_memo[key] = total
-            return total
         for W in range(L + 1, R):
             for d in self.disjuncts[W]:
                 # Gate: with connectors left on L, this W must take

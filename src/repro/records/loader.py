@@ -28,12 +28,36 @@ def load_records(directory: str | Path) -> Iterator[PatientRecord]:
     Unparseable files raise :class:`RecordFormatError` with the file
     name attached so a bad note in a batch is identifiable.
     """
-    directory = Path(directory)
-    for path in sorted(directory.glob("*.txt")):
+    for path in record_paths(directory):
         try:
             yield load_record(path)
         except RecordFormatError as exc:
             raise RecordFormatError(f"{path.name}: {exc}") from exc
+
+
+def record_paths(directory: str | Path) -> list[Path]:
+    """The files :func:`load_records` reads, in the order it yields."""
+    return sorted(Path(directory).glob("*.txt"))
+
+
+def check_unique_ids(
+    directory: str | Path, records: list[PatientRecord]
+) -> None:
+    """Reject two files of ``load_records(directory)`` sharing an id.
+
+    Results are stored keyed by patient id, so a duplicate would
+    either fail the store after the whole corpus was extracted or
+    silently overwrite a patient.  Raises :class:`RecordFormatError`
+    naming the id and both files.
+    """
+    first_file: dict[str, str] = {}
+    for path, record in zip(record_paths(directory), records):
+        seen = first_file.setdefault(record.patient_id, path.name)
+        if seen != path.name:
+            raise RecordFormatError(
+                f"duplicate patient id {record.patient_id!r} in "
+                f"{seen} and {path.name}"
+            )
 
 
 def save_records(

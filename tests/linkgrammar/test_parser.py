@@ -8,6 +8,7 @@ from repro.linkgrammar import (
     LinkGrammarParser,
     Linkage,
 )
+from repro.linkgrammar.dictionary import LEFT_WALL
 
 FIGURE1 = (
     "blood pressure is 144/90 , pulse of 84 , temperature of 98.3 , "
@@ -184,10 +185,49 @@ class TestCustomDictionary:
         assert parser.parse_one(FIGURE1).cost == all_linkages[0].cost
 
 
+class TestEncoding:
+    """The parser's small-int encoding is derived from the dictionary
+    and must follow it: rebuilt after ``add``, one code per distinct
+    disjunct object (never per list slot)."""
+
+    def test_add_after_parse_is_seen(self):
+        d = Dictionary()
+        parser = LinkGrammarParser(dictionary=d)
+        parser.parse(FIGURE1)
+        stale = d.encoding()
+        # XZ is a label the dictionary has never carried, so a stale
+        # encoding could not even encode these entries.
+        d.add("zzfoo", "Wd- & XZ+")
+        d.add("zzbar", "XZ-")
+        linkage = parser.parse_one(["zzfoo", "zzbar"])
+        assert d.encoding() is not stale
+        assert [(l.left, l.right, l.label) for l in linkage.links] == [
+            (0, 1, "Wd"),
+            (1, 2, "XZ"),
+        ]
+
+    def test_codes_are_per_disjunct_object(self):
+        d = Dictionary()
+        parser = LinkGrammarParser(dictionary=d)
+        sentences = [FIGURE1] + TestLinkageInvariants.SENTENCES
+        for words in sentences:
+            parser.parse(words)
+        lists = [
+            d.disjuncts(word)
+            for words in sentences
+            for word in [LEFT_WALL] + words
+        ]
+        slots = sum(len(ds) for ds in lists)
+        distinct = {id(disjunct) for ds in lists for disjunct in ds}
+        codes = d.encoding().codes
+        assert set(codes) <= distinct
+        assert len(codes) <= len(distinct) < slots // 10
+
+
 class TestBitsetParity:
-    """The packed-bitset match path is an optimization, not a
+    """The integer-encoded session is an optimization, not a
     behaviour: every sentence must produce identical linkages (and
-    identical failures) with it on or off."""
+    identical failures) as the label-set oracle (``bitset=False``)."""
 
     SENTENCES = TestLinkageInvariants.SENTENCES
 

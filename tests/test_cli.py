@@ -170,6 +170,73 @@ class TestExtract:
         assert store.numeric_value(pid, "pulse") is not None
 
 
+    def test_duplicate_patient_ids_rejected_before_extraction(
+        self, notes, tmp_path, capsys, monkeypatch
+    ):
+        import shutil
+
+        from repro.runtime.resilience import ResilientCorpusRunner
+
+        first = sorted(notes.glob("*.txt"))[0]
+        shutil.copy(first, notes / "zz_copy.txt")
+
+        def no_extraction(self, records):
+            raise AssertionError("extraction ran on a bad corpus")
+
+        monkeypatch.setattr(ResilientCorpusRunner, "run", no_extraction)
+        db = tmp_path / "dup.db"
+        code = main(["extract", "--input", str(notes), "--db", str(db)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert not db.exists()
+        record_id = first.stem.split("_", 1)[1]
+        assert err == [
+            f"error: duplicate patient id {record_id!r} in "
+            f"{first.name} and zz_copy.txt"
+        ]
+
+
+class TestEvaluateFloors:
+    """``evaluate --style-matrix --floors`` gates at every seed; only
+    the consistent-baseline comparison is specific to seed 42."""
+
+    @pytest.fixture
+    def canned(self, monkeypatch):
+        from pathlib import Path
+
+        import repro.eval
+
+        results = json.loads(
+            (Path(__file__).parents[1] / "EVAL_styles.json").read_text()
+        )
+        monkeypatch.setattr(
+            repro.eval, "run_style_matrix", lambda seed: results
+        )
+
+    def _evaluate(self, tmp_path, seed, floor):
+        floors = tmp_path / "floors.json"
+        floors.write_text(json.dumps(
+            {"packs": {"consistent": {"smoking_accuracy": floor}}}
+        ))
+        return main([
+            "evaluate", "--style-matrix", "--seed", str(seed),
+            "--output", str(tmp_path / "styles.json"),
+            "--floors", str(floors),
+        ])
+
+    def test_unreachable_floor_fails_off_seed_42(
+        self, canned, tmp_path, capsys
+    ):
+        assert self._evaluate(tmp_path, seed=7, floor=1.01) == 1
+        err = capsys.readouterr().err
+        assert "baseline gate applies to --seed 42 only" in err
+        assert "floor violation: consistent" in err
+
+    def test_met_floor_passes_off_seed_42(self, canned, tmp_path, capsys):
+        assert self._evaluate(tmp_path, seed=7, floor=0.5) == 0
+        assert "floors: all pass" in capsys.readouterr().out
+
+
 class TestParse:
     def test_parse_prints_diagram(self, capsys):
         code = main(["parse", "She has never smoked."])
