@@ -35,7 +35,6 @@ MatchTables = tuple[
 ]
 
 
-
 class DisjunctCode(NamedTuple):
     """A disjunct in the parse session's small-int alphabet.
 
@@ -68,7 +67,8 @@ class DisjunctEncoding:
     disjunct, so the id cannot be recycled while cached).  Keying per
     object rather than per list slot keeps the cache at a few
     thousand entries: the expanded dictionary repeats ~5k distinct
-    disjuncts across ~350k list slots.
+    disjuncts across ~350k list slots.  Being keyed by ``id()``, an
+    encoding is only valid in the process that built it.
     """
 
     def __init__(self, table: dict[tuple[str, str], bool]) -> None:
@@ -116,6 +116,7 @@ class DisjunctEncoding:
                 mask |= 1 << cid
             ids.append(tuple(side_ids))
         return DisjunctCode(ids[0], ids[1], disjunct.cost, mask, disjunct)
+
 
 def _substitute_macros(expression: str) -> str:
     """Textually expand ``<name>`` macros (macros may nest one level)."""

@@ -128,15 +128,17 @@ class LinkGrammarParser:
     Sessions run on the dictionary's small-int connector encoding
     (:meth:`Dictionary.encoding`).  ``bitset=False`` swaps in the
     label-set session — connector objects, string-pair match dict,
-    set-algebra pruning — the independent implementation the
-    integer session is checked against: bit-for-bit identical output,
-    several times slower, kept only for parity tests and the parse
-    benchmark's cold lane.  ``beam`` (off by
-    default) enables cost-bounded beam pruning: at each word,
-    disjuncts costing more than ``cheapest + beam`` are dropped before
-    the recurrence.  Unlike power pruning this is an approximation —
-    it can change or lose linkages — so it never participates in
-    parity suites and is excluded from shared caches' default keys.
+    set-algebra pruning — the independent implementation the integer
+    session is checked against: bit-for-bit identical output, several
+    times slower, kept only for parity tests and the parse
+    benchmark's cold lane.
+
+    ``beam`` (off by default) enables cost-bounded beam pruning: at
+    each word, disjuncts costing more than ``cheapest + beam`` are
+    dropped before the recurrence.  Unlike power pruning this is an
+    approximation — it can change or lose linkages — so it never
+    participates in parity suites and is excluded from shared caches'
+    default keys.
     """
 
     def __init__(
@@ -225,17 +227,14 @@ class LinkGrammarParser:
                 started if started is not None else time.perf_counter()
             ) + self.time_budget
         if self.bitset:
-            session = _ParseSession(
-                sentence, disjuncts, self.dictionary.encoding(),
-                prune=self.prune, deadline=deadline,
-                budget=self.time_budget, beam=self.beam,
-            )
+            kind, tables = _ParseSession, self.dictionary.encoding()
         else:
-            session = _LabelSetSession(
-                sentence, disjuncts, self.dictionary.match_tables(),
-                prune=self.prune, deadline=deadline,
-                budget=self.time_budget, beam=self.beam,
-            )
+            kind, tables = _LabelSetSession, self.dictionary.match_tables()
+        session = kind(
+            sentence, disjuncts, tables,
+            prune=self.prune, deadline=deadline,
+            budget=self.time_budget, beam=self.beam,
+        )
         self.stats.disjuncts_before += session.disjuncts_before
         self.stats.disjuncts_after += session.disjuncts_after
         self.stats.beam_pruned += session.beam_pruned

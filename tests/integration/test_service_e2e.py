@@ -12,6 +12,7 @@
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -406,6 +407,20 @@ class TestServeSubmitCli:
             )
             assert submit.returncode == 0, submit.stderr
             assert "3 extracted, 0 quarantined" in submit.stdout
+
+            # Two notes with one patient id are refused before any
+            # record reaches the service.
+            dup_dir = tmp_path / "dup"
+            shutil.copytree(notes_dir, dup_dir)
+            first = sorted(dup_dir.glob("*.txt"))[0]
+            shutil.copy(first, dup_dir / "zz_copy.txt")
+            dup = self._submit(
+                env, "--socket", sock, "--input", str(dup_dir),
+                "--db", str(tmp_path / "dup.db"),
+            )
+            assert dup.returncode == 2
+            assert "duplicate patient id" in dup.stderr
+            assert not (tmp_path / "dup.db").exists()
 
             stats = self._submit(env, "--socket", sock, "--stats")
             assert stats.returncode == 0
