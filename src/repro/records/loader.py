@@ -28,14 +28,14 @@ def load_records(directory: str | Path) -> Iterator[PatientRecord]:
     Unparseable files raise :class:`RecordFormatError` with the file
     name attached so a bad note in a batch is identifiable.
     """
-    for path in record_paths(directory):
+    for path in _record_paths(directory):
         try:
             yield load_record(path)
         except RecordFormatError as exc:
             raise RecordFormatError(f"{path.name}: {exc}") from exc
 
 
-def record_paths(directory: str | Path) -> list[Path]:
+def _record_paths(directory: str | Path) -> list[Path]:
     """The files :func:`load_records` reads, in the order it yields."""
     return sorted(Path(directory).glob("*.txt"))
 
@@ -51,7 +51,7 @@ def check_unique_ids(
     naming the id and both files.
     """
     first_file: dict[str, str] = {}
-    for path, record in zip(record_paths(directory), records):
+    for path, record in zip(_record_paths(directory), records):
         seen = first_file.setdefault(record.patient_id, path.name)
         if seen != path.name:
             raise RecordFormatError(
