@@ -9,7 +9,7 @@ the two runs fill identical cells.
 from conftest import print_table
 
 from repro import RecordExtractor, ResultStore, split_record
-from repro.runtime import CorpusRunner
+from repro.runtime import ResilientCorpusRunner
 
 
 def test_full_pipeline_throughput(benchmark, small_cohort):
@@ -20,10 +20,10 @@ def test_full_pipeline_throughput(benchmark, small_cohort):
     def run():
         store = ResultStore()
         reparsed = [split_record(r.raw_text) for r in records]
-        serial = CorpusRunner(extractor, workers=1)
+        serial = ResilientCorpusRunner(extractor, workers=1)
         results = serial.run(reparsed)
         store.store_many(results)
-        parallel = CorpusRunner(extractor, workers=2)
+        parallel = ResilientCorpusRunner(extractor, workers=2)
         parallel_results = parallel.run(reparsed)
         return store, results, serial, parallel, parallel_results
 

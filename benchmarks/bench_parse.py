@@ -28,7 +28,7 @@ from conftest import print_table
 
 from repro.extraction import NumericExtractor, RecordExtractor
 from repro.linkgrammar.parser import LinkGrammarParser
-from repro.runtime import CorpusRunner, ExtractionCaches
+from repro.runtime import ExtractionCaches, ResilientCorpusRunner
 from repro.runtime.metrics import guarded_ratio
 from repro.runtime.parsecache import PersistentParseCache
 from repro.synth import CohortSpec, RecordGenerator
@@ -63,7 +63,7 @@ def _stack(bitset: bool, persistent=None) -> RecordExtractor:
 
 def _lane(records, bitset: bool, persistent=None):
     """One serial corpus run; returns (results, lane stats)."""
-    runner = CorpusRunner(
+    runner = ResilientCorpusRunner(
         _stack(bitset, persistent), parse_cache=persistent
     )
     started = time.perf_counter()

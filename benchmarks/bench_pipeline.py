@@ -41,7 +41,7 @@ from repro.extraction import (
 )
 from repro.linkgrammar.parser import LinkGrammarParser
 from repro.nlp.pipeline import default_pipeline
-from repro.runtime import CorpusRunner, ExtractionCaches
+from repro.runtime import ExtractionCaches, ResilientCorpusRunner
 from repro.runtime.compiled import CompiledArtifact
 from repro.runtime.metrics import guarded_ratio
 from repro.storage import ResultStore
@@ -90,7 +90,9 @@ def _timed_run(runner, records):
 
 def _serial_lane(extractor, records, profile_stages=False):
     """Cold + warm passes over one stack; returns results and stats."""
-    runner = CorpusRunner(extractor, profile_stages=profile_stages)
+    runner = ResilientCorpusRunner(
+        extractor, profile_stages=profile_stages
+    )
     cold_results, cold_seconds = _timed_run(runner, records)
     warm_results, warm_seconds = _timed_run(runner, records)
     assert warm_results == cold_results
@@ -122,7 +124,7 @@ def test_pipeline_lanes(benchmark, tmp_path):
         profiled_results, profiled = _serial_lane(
             artifact.make_extractor(), records, profile_stages=True
         )
-        parallel_runner = CorpusRunner(
+        parallel_runner = ResilientCorpusRunner(
             artifact=artifact, workers=2, chunk_size=25
         )
         parallel_results, parallel_seconds = _timed_run(

@@ -40,7 +40,7 @@ from repro.linkgrammar.dictionary import Dictionary
 from repro.linkgrammar.parser import LinkGrammarParser
 from repro.ontology.builder import build_concepts
 from repro.ontology.store import OntologyStore
-from repro.runtime import CorpusRunner, ExtractionCaches
+from repro.runtime import ExtractionCaches, ResilientCorpusRunner
 from repro.runtime.compiled import CompiledArtifact
 from repro.synth import CohortSpec, RecordGenerator
 
@@ -133,7 +133,7 @@ def _compile_cycle(path: Path) -> tuple[CompiledArtifact, dict]:
 def test_extraction_scales_linearly(benchmark):
     def run():
         rows = []
-        runner = CorpusRunner(RecordExtractor())
+        runner = ResilientCorpusRunner(RecordExtractor())
         for size in SIZES:
             records, _ = _cohort(size)
             started = time.perf_counter()
@@ -173,18 +173,22 @@ def test_corpus_engine_speedup(benchmark, tmp_path):
         started = time.perf_counter()
         cold_extractor = _build_cold_stack()
         cold_init = time.perf_counter() - started
-        serial_cold = CorpusRunner(cold_extractor, workers=1)
+        serial_cold = ResilientCorpusRunner(
+            cold_extractor, workers=1
+        )
         serial_cold.run(records)
 
         started = time.perf_counter()
-        serial_warm = CorpusRunner(artifact=artifact, workers=1)
+        serial_warm = ResilientCorpusRunner(
+            artifact=artifact, workers=1
+        )
         warm_init = time.perf_counter() - started
         serial_warm.run(records)
 
-        parallel_cold = CorpusRunner(workers=WORKERS)
+        parallel_cold = ResilientCorpusRunner(workers=WORKERS)
         parallel_cold.run(records)
 
-        parallel_warm = CorpusRunner(
+        parallel_warm = ResilientCorpusRunner(
             artifact=artifact, workers=WORKERS
         )
         parallel_warm.run(records)

@@ -11,8 +11,8 @@ bench measures what that residency buys on live traffic:
   (each is its own micro-batch: the worst case for the batcher, the
   common case for an interactive caller);
 * **batch path reference** — the same cohort through
-  ``CorpusRunner`` on the same warm stack, so the protocol tax
-  (JSON framing + socket hop + queueing) is visible next to it;
+  ``ResilientCorpusRunner`` on the same warm stack, so the protocol
+  tax (JSON framing + socket hop + queueing) is visible next to it;
 * **open-loop load sweep** — a Poisson arrival process at a sweep of
   offered rates, sent on schedule *regardless of completions* (a
   closed-loop client slows down with the server and hides queueing
@@ -37,7 +37,7 @@ from conftest import print_table
 
 from repro.client import ServiceClient
 from repro.extraction import RecordExtractor
-from repro.runtime import CorpusRunner
+from repro.runtime import ResilientCorpusRunner
 from repro.runtime.service import (
     ExtractionService,
     ServiceConfig,
@@ -127,7 +127,9 @@ def test_service_throughput_and_latency(benchmark, tmp_path):
 
         # The same warm stack through the batch engine, as the
         # no-protocol reference point.
-        runner = CorpusRunner(service.runner.extractor, workers=1)
+        runner = ResilientCorpusRunner(
+            service.runner.extractor, workers=1
+        )
         started = time.perf_counter()
         runner.run(records)
         batch_seconds = time.perf_counter() - started
@@ -311,7 +313,7 @@ def test_open_loop_sweep(benchmark, tmp_path):
     def run():
         # Reference capacity: the batch engine on a warm stack.
         extractor = RecordExtractor()
-        runner = CorpusRunner(extractor, workers=1)
+        runner = ResilientCorpusRunner(extractor, workers=1)
         runner.run(records)  # warm caches
         started = time.perf_counter()
         runner.run(records)

@@ -47,7 +47,6 @@ from repro.records import (
     split_record,
 )
 from repro.runtime import (
-    CorpusRunner,
     FaultPlan,
     ResilientCorpusRunner,
     RetryPolicy,
@@ -91,7 +90,6 @@ __all__ = [
     "load_records",
     "save_records",
     "split_record",
-    "CorpusRunner",
     "FaultPlan",
     "ResilienceError",
     "ResilientCorpusRunner",

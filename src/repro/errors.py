@@ -17,10 +17,6 @@ class TokenizationError(ReproError):
     """The tokenizer could not produce a token stream for the input."""
 
 
-class TaggingError(ReproError):
-    """The POS tagger failed on a token stream."""
-
-
 class DictionaryError(ReproError):
     """A link-grammar dictionary entry is malformed."""
 

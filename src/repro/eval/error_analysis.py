@@ -68,11 +68,6 @@ class ErrorBreakdown:
             return None
         return max(self.false_positives, key=self.false_positives.get)
 
-    def dominant_fn_cause(self) -> str | None:
-        if not self.false_negatives:
-            return None
-        return max(self.false_negatives, key=self.false_negatives.get)
-
     def render(self) -> str:
         lines = [f"{self.attribute}:"]
         lines.append(f"  false positives ({self.total_fp()}):")

@@ -373,14 +373,6 @@ class TermExtractor:
             ]
         return matches[0] if matches else None
 
-    def _assign(
-        self, attr: TermsAttribute, hits: list[TermHit]
-    ) -> list[str]:
-        """Split hits into the predefined or the "other" column."""
-        return [
-            name for name, _ in self._assign_hits(attr, hits)
-        ]
-
     def _assign_hits(
         self, attr: TermsAttribute, hits: list[TermHit]
     ) -> list[tuple[str, TermHit]]:

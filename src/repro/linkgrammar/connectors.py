@@ -81,16 +81,6 @@ def parse_connector(text: str) -> Connector:
     return connector
 
 
-def intern_connector(connector: Connector) -> Connector:
-    """The canonical shared instance equal to *connector*.
-
-    Used when rehydrating compiled grammars: connectors arriving from
-    a pickle are folded back into the process-wide intern table so all
-    grammars in one process share instances.
-    """
-    return _INTERNED.setdefault(str(connector), connector)
-
-
 def subscripts_compatible(a: str, b: str) -> bool:
     """Positional wildcard comparison of two subscript strings."""
     for ca, cb in zip(a, b):

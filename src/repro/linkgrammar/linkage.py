@@ -57,9 +57,6 @@ class Linkage:
         if not self.token_map:
             self.token_map = [None] + list(range(len(self.words) - 1))
 
-    def link_types(self) -> set[str]:
-        return {link.label for link in self.links}
-
     def links_of(self, word_index: int) -> list[Link]:
         """Links incident to *word_index*."""
         return [

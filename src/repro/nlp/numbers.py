@@ -11,7 +11,7 @@ readings (``144/90``) and English words (``seventeen``,
 
 from __future__ import annotations
 
-from repro.nlp.document import Annotation, Document, TokenKind
+from repro.nlp.document import Document, TokenKind
 from repro import profiling
 
 _UNITS = {
@@ -144,8 +144,3 @@ class NumberAnnotator:
             ):
                 document.annotations.add("Number", start, end, features)
 
-
-def annotate_numbers(document: Document) -> list[Annotation]:
-    """Convenience: annotate and return the Number annotations."""
-    NumberAnnotator().annotate(document)
-    return document.numbers()

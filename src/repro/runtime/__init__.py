@@ -9,16 +9,18 @@ The batch engine behind ``repro extract --workers N``:
 * :mod:`repro.runtime.compiled` — ahead-of-time compiled artifacts
   (expanded grammar + connector match table, in-memory ontology
   index) that warm-start the whole stack from one pickle load;
-* :mod:`repro.runtime.runner` — the :class:`CorpusRunner` that fans
-  record chunks out over a process pool with per-worker extraction
-  stacks, keeping ``workers=1`` as the deterministic serial default;
+* :mod:`repro.runtime.runner` — per-process worker state shared by
+  pool workers and shard children: the copy-on-write artifact and
+  parse-cache hand-off and the one pool initializer that builds each
+  worker's extraction stack once;
 * :mod:`repro.runtime.tracing` — hierarchical span tracing and run
   manifests (zero-cost no-op when disabled), the engine's
   observability layer;
-* :mod:`repro.runtime.resilience` — the fault-tolerant
-  :class:`ResilientCorpusRunner`: retry with backoff, chunk bisection,
-  poison-record quarantine, worker-pool recovery, and journal-based
-  checkpoint/resume;
+* :mod:`repro.runtime.resilience` — :class:`ResilientCorpusRunner`,
+  the one corpus runner: ``workers=1`` as the deterministic serial
+  default, ordered process fan-out for ``workers>1``, and retry with
+  backoff, chunk bisection, poison-record quarantine, worker-pool
+  recovery, and journal-based checkpoint/resume;
 * :mod:`repro.runtime.faults` — deterministic, seed-reproducible
   fault injection (``--inject-faults``) that proves the resilience
   layer works;
@@ -58,7 +60,6 @@ from repro.runtime.resilience import (
     RetryPolicy,
     corpus_digest,
 )
-from repro.runtime.runner import CorpusRunner
 from repro.runtime.service import ExtractionService, ServiceConfig
 from repro.runtime.tracing import (
     NULL_TRACER,
@@ -73,7 +74,6 @@ __all__ = [
     "NULL_TRACER",
     "CompiledArtifact",
     "CompiledGrammar",
-    "CorpusRunner",
     "DocumentCache",
     "ExtractionCaches",
     "ExtractionService",

@@ -205,7 +205,7 @@ class LinkageCache:
         words: Sequence[str],
         tags: Sequence[str] | None,
     ) -> tuple:
-        """Per-token resolution classes (the shared part of all keys).
+        """Per-token resolution classes (the shared tail of both keys).
 
         Sentence-final punctuation is stripped by the parser before any
         dictionary lookup, so those tokens keep their literal form;
@@ -219,50 +219,6 @@ class LinkageCache:
             )
             for i, word in enumerate(words)
         )
-
-    @staticmethod
-    def signature(
-        parser: LinkGrammarParser,
-        words: Sequence[str],
-        tags: Sequence[str] | None,
-    ) -> tuple:
-        """Token-sequence key under which a parse may be shared.
-
-        The parser's identity-relevant configuration leads the key:
-        ``max_linkages`` changes which linkage ``parse_one`` returns
-        (extraction stops at the cap before cost-ranking all linkages),
-        ``beam`` changes which disjuncts survive pruning, and
-        different dictionaries resolve tokens differently, so one
-        cache can serve differently-configured parsers safely.
-        """
-        head = (
-            id(parser.dictionary),
-            parser.max_linkages,
-            parser.max_words,
-            getattr(parser, "beam", None),
-        )
-        return head + LinkageCache._resolution_tail(parser, words, tags)
-
-    @staticmethod
-    def persistent_key(
-        parser: LinkGrammarParser,
-        words: Sequence[str],
-        tags: Sequence[str] | None = None,
-    ) -> tuple:
-        """Cross-run key: like :meth:`signature` but process-portable.
-
-        The dictionary is identified by the sidecar's signature check
-        at attach time rather than ``id()``, and the parse budget
-        joins the key so a timeout recorded under one budget can never
-        be served to a run with a different one.
-        """
-        head = (
-            getattr(parser, "time_budget", None),
-            getattr(parser, "beam", None),
-            parser.max_linkages,
-            parser.max_words,
-        )
-        return head + LinkageCache._resolution_tail(parser, words, tags)
 
     # ----------------------------------------------------------- lookup
 
@@ -278,6 +234,13 @@ class LinkageCache:
         first, matching the extraction pipeline's convention).
         """
         tail = self._resolution_tail(parser, words, tags)
+        # In-process key.  The parser's identity-relevant
+        # configuration leads it: ``max_linkages`` changes which
+        # linkage ``parse_one`` returns (extraction stops at the cap
+        # before cost-ranking all linkages), ``beam`` changes which
+        # disjuncts survive pruning, and different dictionaries
+        # resolve tokens differently, so one cache can serve
+        # differently-configured parsers safely.
         key = (
             id(parser.dictionary),
             parser.max_linkages,
@@ -296,6 +259,11 @@ class LinkageCache:
             and self.persistent.dictionary_signature
             == parser.dictionary.signature()
         ):
+            # Cross-run key: process-portable, so the dictionary is
+            # identified by the sidecar's signature check above
+            # rather than ``id()``, and the parse budget joins the key
+            # so a timeout recorded under one budget is never served
+            # to a run with a different one.
             pkey = (
                 getattr(parser, "time_budget", None),
                 getattr(parser, "beam", None),

@@ -1,7 +1,10 @@
-"""Fault-tolerant corpus execution: retry, bisect, quarantine, resume.
+"""Corpus execution: serial or process fan-out, fault-tolerant.
 
-:class:`ResilientCorpusRunner` wraps the corpus engine so a hostile
-corpus cannot take down a run:
+:class:`ResilientCorpusRunner` is the one corpus runner — behind
+``repro extract``, ``repro serve`` and every shard.  It drives
+:meth:`~repro.extraction.pipeline.RecordExtractor.extract` over a
+cohort in contiguous chunks, and a hostile corpus cannot take down a
+run:
 
 * **Retry with backoff** — a failed chunk is re-executed up to
   ``RetryPolicy.max_attempts`` times with exponential backoff; the
@@ -53,9 +56,8 @@ from repro.errors import ResilienceError
 from repro.records.model import PatientRecord
 from repro.runtime import runner as _runner
 from repro.runtime import tracing
-from repro.runtime.faults import FaultPlan, mark_worker
-from repro.runtime.metrics import diff_stats, merge_stats
-from repro.runtime.runner import CorpusRunner, _serialize_models
+from repro.runtime.faults import FaultPlan
+from repro.runtime.metrics import Metrics, diff_stats, merge_stats
 from repro.runtime.tracing import Span, Tracer
 
 if TYPE_CHECKING:
@@ -63,6 +65,8 @@ if TYPE_CHECKING:
         ExtractionResult,
         RecordExtractor,
     )
+    from repro.runtime.compiled import CompiledArtifact
+    from repro.runtime.parsecache import PersistentParseCache
 
 
 # ------------------------------------------------------------- policy
@@ -356,27 +360,6 @@ def _reset_caches(extractor: "RecordExtractor") -> None:
         caches.clear()
 
 
-def _init_resilient_worker(
-    models: dict[str, dict] | None,
-    parse_budget: float | None = None,
-    artifact_path: str | None = None,
-    document_cache_size: int | None = None,
-    parse_cache_path: str | None = None,
-    profile_stages: bool = False,
-) -> None:
-    """Pool initializer: normal worker setup plus the worker flag
-    that lets ``kill`` faults really terminate the process."""
-    _runner._init_worker(
-        models,
-        parse_budget,
-        artifact_path,
-        document_cache_size,
-        parse_cache_path,
-        profile_stages,
-    )
-    mark_worker()
-
-
 def _extract_chunk_guarded(
     payload: tuple[
         int, tuple[PatientRecord, ...], bool, int, FaultPlan | None
@@ -420,12 +403,18 @@ def _extract_chunk_guarded(
 
 # ------------------------------------------------------------- runner
 
-class ResilientCorpusRunner(CorpusRunner):
-    """A :class:`CorpusRunner` that survives a hostile corpus.
+class ResilientCorpusRunner:
+    """The corpus runner: serial by default, process fan-out on demand.
 
-    With no journal, no fault plan, and a healthy corpus this runner
-    produces output identical to the plain engine — resilience only
-    changes what happens when something goes wrong.
+    ``workers=1`` (the default) runs in-process and is the
+    deterministic reference path.  ``workers>1`` fans contiguous
+    chunks of records out over a process pool whose workers build
+    their extraction stack once (see :mod:`repro.runtime.runner`);
+    results are reassembled in input order, so parallel output is
+    byte-identical to serial, and each chunk's engine-counter delta is
+    merged into one metrics view.  On a healthy corpus with no fault
+    plan the recovery machinery never fires — it only changes what
+    happens when something goes wrong.
     """
 
     def __init__(
@@ -439,24 +428,76 @@ class ResilientCorpusRunner(CorpusRunner):
         fault_plan: FaultPlan | None = None,
         resume: bool = False,
         run_id: str = "",
-        artifact: "Any | str | Path | None" = None,
+        artifact: "CompiledArtifact | str | Path | None" = None,
         document_cache_size: int | None = None,
-        parse_cache: "Any | None" = None,
+        parse_cache: "PersistentParseCache | None" = None,
         profile_stages: bool = False,
     ) -> None:
-        super().__init__(
-            extractor,
-            workers=workers,
-            chunk_size=chunk_size,
-            tracer=tracer,
-            artifact=artifact,
-            document_cache_size=document_cache_size,
-            parse_cache=parse_cache,
-            profile_stages=profile_stages,
+        from repro.extraction.pipeline import RecordExtractor
+
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError(
+                f"chunk_size must be >= 1, got {chunk_size}"
+            )
+        if document_cache_size is not None and document_cache_size < 1:
+            raise ValueError(
+                "document_cache_size must be >= 1, got "
+                f"{document_cache_size}"
+            )
+        self.metrics = Metrics()
+        #: Compiled warm-start bundle: when set, it both builds the
+        #: default extractor and is shared with pool workers (via
+        #: fork inheritance, with a load-from-path fallback).
+        self.artifact: "CompiledArtifact | None" = None
+        self._artifact_path: str | None = None
+        if artifact is not None:
+            self.artifact, self._artifact_path = self._load_artifact(
+                artifact
+            )
+        self.document_cache_size = document_cache_size
+        if extractor is None:
+            if self.artifact is not None:
+                extractor = self.artifact.make_extractor(
+                    document_cache_size=document_cache_size
+                )
+            else:
+                extractor = RecordExtractor()
+        if document_cache_size is not None:
+            caches = getattr(extractor, "caches", None)
+            if caches is not None:
+                caches.documents.resize(document_cache_size)
+        #: Persistent cross-run parse cache: attached to the serial
+        #: extractor's linkage cache here, published to pool workers
+        #: copy-on-write, and fed every worker's delta at reassembly.
+        #: The caller owns saving it (see cli._cmd_extract).
+        self.parse_cache = parse_cache
+        if parse_cache is not None:
+            caches = getattr(extractor, "caches", None)
+            if caches is not None:
+                caches.linkages.attach_persistent(parse_cache)
+        self.extractor = extractor
+        self.workers = workers
+        self.chunk_size = chunk_size
+        #: When set, the run (and every pool worker) attributes wall
+        #: time to pipeline stages; merged per-stage seconds/counts
+        #: land in ``stats()["stages"]``.
+        self.profile_stages = profile_stages
+        self.stage_profiler = (
+            profiling.StageProfiler() if profile_stages else None
         )
+        #: When set, every run records one span tree per record here
+        #: (worker trees are merged back in input order).
+        self.tracer = tracer
+        #: Merged engine counters (caches, parser) from the last runs.
+        self.engine_stats: dict[str, Any] = {}
         self.policy = policy or RetryPolicy()
         if isinstance(journal, (str, Path)):
             journal = Journal(journal)
+        #: When set, every completed chunk is checkpointed here the
+        #: moment it finishes, so a crashed run keeps its finished
+        #: work and ``resume=True`` can skip it.
         self.journal = journal
         self.fault_plan = fault_plan
         self.resume = resume
@@ -469,6 +510,19 @@ class ResilientCorpusRunner(CorpusRunner):
         #: index, matching a batch run over the same stream.  Serial
         #: (``workers=1``) runs without a journal only.
         self.index_map: Sequence[int] | None = None
+
+    def _load_artifact(
+        self, artifact: "CompiledArtifact | str | Path"
+    ) -> tuple["CompiledArtifact", str | None]:
+        """Resolve the artifact argument, timing any disk load."""
+        from repro.runtime.compiled import CompiledArtifact
+
+        if isinstance(artifact, CompiledArtifact):
+            return artifact, None
+        path = str(artifact)
+        with self.metrics.time("artifact_load_seconds"):
+            loaded = CompiledArtifact.load(path)
+        return loaded, path
 
     # ------------------------------------------------------------ API
 
@@ -505,9 +559,91 @@ class ResilientCorpusRunner(CorpusRunner):
         self.metrics.count("records", len(records))
         return results
 
+    def _target_document_cache_size(self, n_records: int) -> int:
+        """Capacity that covers one worker's share of the corpus.
+
+        Every record touches a handful of distinct section texts, so a
+        cache smaller than ~8× the run of records it serves thrashes
+        (all evictions, no cross-record reuse).  Sized by the
+        **per-worker record share**, not the chunk: one worker
+        processes many chunks through the same cache, so sizing by the
+        chunk alone thrashed the parallel lane (the default chunk is a
+        quarter of the share).  Bounded so a huge corpus cannot pin
+        unbounded document memory.
+        """
+        share = max(1, math.ceil(n_records / self.workers))
+        return min(4096, max(256, 8 * share))
+
+    def _size_document_cache(self, n_records: int) -> None:
+        """Grow the in-process document cache to fit this run.
+
+        Explicit ``document_cache_size`` wins; otherwise the cache
+        grows (never shrinks — shrinking would throw away warm
+        entries) to the computed target.
+        """
+        if self.document_cache_size is not None:
+            return
+        caches = getattr(self.extractor, "caches", None)
+        if caches is None:
+            return
+        target = self._target_document_cache_size(n_records)
+        if target > caches.documents.maxsize:
+            caches.documents.resize(target)
+
+    def throughput(self) -> float:
+        """Records per second across every ``run`` so far."""
+        return self.metrics.rate("records", "extract_seconds")
+
     def stats(self) -> dict[str, Any]:
-        out = super().stats()
+        """One JSON-dumpable view over runner + engine metrics."""
+        parser = self.engine_stats.get("parser", {})
+        linkages = self.engine_stats.get("linkages", {})
+        worker_stats = self.engine_stats.get("workers", {})
         counters = self.metrics.counters
+        hits = linkages.get("hits", 0)
+        lookups = hits + linkages.get("misses", 0)
+        before = parser.get("disjuncts_before", 0)
+        persistent_hits = parser.get("persistent_hits", 0)
+        persistent_lookups = persistent_hits + parser.get(
+            "persistent_misses", 0
+        )
+        out: dict[str, Any] = {
+            "workers": self.workers,
+            "records": counters.get("records", 0),
+            "extract_seconds": self.metrics.timers.get(
+                "extract_seconds", 0.0
+            ),
+            "records_per_sec": self.throughput(),
+            "worker_init_seconds": worker_stats.get(
+                "init_seconds", 0.0
+            ),
+            "workers_initialized": worker_stats.get("initialized", 0),
+            "artifact_load_seconds": self.metrics.timers.get(
+                "artifact_load_seconds", 0.0
+            ),
+            "warm_start": self.artifact is not None,
+            "linkage_cache_hit_rate": hits / lookups if lookups else 0.0,
+            "persistent_parse_cache": self.parse_cache is not None,
+            "persistent_parse_hits": persistent_hits,
+            "persistent_parse_misses": parser.get(
+                "persistent_misses", 0
+            ),
+            "persistent_parse_hit_rate": (
+                persistent_hits / persistent_lookups
+                if persistent_lookups
+                else 0.0
+            ),
+            "match_bitset_hits": parser.get("match_bitset_hits", 0),
+            "beam_pruned": parser.get("beam_pruned", 0),
+            "parse_timeouts": parser.get("timeouts", 0),
+            "prune_ratio": (
+                1.0 - parser.get("disjuncts_after", 0) / before
+                if before
+                else 0.0
+            ),
+            "stages": self.engine_stats.get("stages", {}),
+            "engine": self.engine_stats,
+        }
         for name in (
             "retries",
             "quarantined",
@@ -779,10 +915,8 @@ class ResilientCorpusRunner(CorpusRunner):
     ):
         from concurrent.futures import ProcessPoolExecutor
 
-        # Size each worker's document cache by its record share (the
-        # same policy as the base runner's parallel path — previously
-        # the raw ``document_cache_size`` rode through, leaving
-        # resilient workers at the 256-entry default and thrashing).
+        # Size each worker's document cache by its record share, not
+        # the 256-entry default (which thrashes).
         worker_cache_size = self.document_cache_size or (
             self._target_document_cache_size(n_records)
             if n_records
@@ -796,7 +930,7 @@ class ResilientCorpusRunner(CorpusRunner):
         )
         return ProcessPoolExecutor(
             max_workers=min(self.workers, max(n_tasks, 1)),
-            initializer=_init_resilient_worker,
+            initializer=_runner._init_worker,
             initargs=(
                 models,
                 parse_budget,
@@ -813,15 +947,16 @@ class ResilientCorpusRunner(CorpusRunner):
         completed: "dict[int, list[ExtractionResult]]",
         plan: FaultPlan | None,
     ) -> None:
-        models = _serialize_models(self.extractor)
+        models = _runner._serialize_models(self.extractor)
         parse_budget = getattr(self.extractor, "parse_budget", None)
         trace = self.tracer is not None
         spans_by_start: dict[int, list[dict]] = {}
         rebuilds = 0
         n_pending = sum(len(task.records) for task in tasks)
         # Publish the artifact (and warm parse cache) so fork-started
-        # (and rebuilt) pools inherit them copy-on-write, exactly as
-        # the base runner does.
+        # (and rebuilt) pools inherit them copy-on-write; restored
+        # afterwards so later pools see whatever their own runner
+        # published.
         previous_artifact = _runner._SHARED_ARTIFACT
         previous_parse_cache = _runner._SHARED_PARSE_CACHE
         _runner._SHARED_ARTIFACT = self.artifact

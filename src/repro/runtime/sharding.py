@@ -235,17 +235,16 @@ def _shard_child(
 ) -> None:
     """Shard child main loop: build the stack once, serve batches.
 
-    Runs under :func:`repro.runtime.faults.mark_worker`, so injected
-    ``kill`` faults hard-exit the child — a deterministic stand-in
-    for a crashed shard that the parent observes as EOF on the pipe.
+    The shared pool initializer marks the child as a worker (see
+    :func:`repro.runtime.faults.mark_worker`), so injected ``kill``
+    faults hard-exit it — a deterministic stand-in for a crashed
+    shard that the parent observes as EOF on the pipe.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from repro.runtime import faults
     from repro.runtime import runner as runner_mod
     from repro.runtime.faults import InjectedInterrupt
     from repro.runtime.resilience import ResilientCorpusRunner
 
-    faults.mark_worker()
     runner_mod._init_worker(
         spec.models,
         spec.parse_budget,

@@ -11,8 +11,8 @@ those decisions observable without changing them:
   attributes (cache hits, chosen methods, distances);
 * a :class:`Tracer` collects span trees — one root per record — and
   can serialize them as JSONL, merge trees shipped back from
-  :class:`~repro.runtime.runner.CorpusRunner` workers, and summarize
-  per-kind timing percentiles;
+  :class:`~repro.runtime.resilience.ResilientCorpusRunner` pool
+  workers, and summarize per-kind timing percentiles;
 * :data:`NULL_TRACER` is the zero-cost default: its ``span()`` returns
   one shared no-op context manager, so instrumented code pays a single
   attribute lookup and function call when tracing is off, and the

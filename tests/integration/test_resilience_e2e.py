@@ -13,7 +13,6 @@ import pytest
 
 from repro.extraction import RecordExtractor
 from repro.runtime import (
-    CorpusRunner,
     FaultPlan,
     ResilientCorpusRunner,
     RetryPolicy,
@@ -81,7 +80,7 @@ class TestInterruptResume:
         results = resumed.run(cohort)
         assert resumed.stats()["resumed_chunks"] >= 1
 
-        baseline = CorpusRunner(
+        baseline = ResilientCorpusRunner(
             RecordExtractor(), chunk_size=2
         ).run(cohort)
         assert results == baseline
@@ -138,7 +137,7 @@ class TestQuarantineEqualsSkip:
         ]
 
         skipped = [r for r in cohort if r.patient_id != poison_id]
-        skip_results = CorpusRunner(
+        skip_results = ResilientCorpusRunner(
             RecordExtractor(), chunk_size=2
         ).run(skipped)
 
@@ -167,7 +166,7 @@ class TestHostileCorpusEndToEnd:
         results = resilient.run(hostile_corpus)
         assert resilient.quarantine == []
 
-        plain = CorpusRunner(RecordExtractor()).run(hostile_corpus)
+        plain = ResilientCorpusRunner(RecordExtractor()).run(hostile_corpus)
         a = _store(tmp_path / "resilient.db", results)
         b = _store(tmp_path / "plain.db", plain)
         assert a.read_bytes() == b.read_bytes()

@@ -24,7 +24,6 @@ import pytest
 from repro.client import ServiceClient
 from repro.extraction import RecordExtractor
 from repro.runtime import (
-    CorpusRunner,
     FaultPlan,
     ResilientCorpusRunner,
     RetryPolicy,
@@ -49,7 +48,7 @@ def cohort():
 
 @pytest.fixture(scope="module")
 def baseline(cohort):
-    return CorpusRunner(RecordExtractor()).run(cohort)
+    return ResilientCorpusRunner(RecordExtractor()).run(cohort)
 
 
 def _store(path, results, quarantine=()):
@@ -102,7 +101,7 @@ class TestServiceEqualsBatch:
         finally:
             service.stop(timeout=30)
         assert quarantined == []
-        plain = CorpusRunner(RecordExtractor()).run(hostile_corpus)
+        plain = ResilientCorpusRunner(RecordExtractor()).run(hostile_corpus)
         a = _store(tmp_path / "service.db", results)
         b = _store(tmp_path / "plain.db", plain)
         assert a.read_bytes() == b.read_bytes()
@@ -124,7 +123,7 @@ class TestServiceEqualsBatch:
         finally:
             service.stop(timeout=30)
         assert quarantined == []
-        plain = CorpusRunner(RecordExtractor()).run(
+        plain = ResilientCorpusRunner(RecordExtractor()).run(
             adversarial_corpus
         )
         a = _store(tmp_path / "service.db", results)
@@ -247,7 +246,7 @@ class TestShardedStoreEqualsBatch:
         hostile the dictation surface is."""
         batch_db = _store(
             tmp_path / "batch.db",
-            CorpusRunner(RecordExtractor()).run(adversarial_corpus),
+            ResilientCorpusRunner(RecordExtractor()).run(adversarial_corpus),
         )
         for shards in (1, 2):
             service_db = tmp_path / f"shards{shards}.db"
@@ -323,7 +322,7 @@ class TestShardedStoreEqualsBatch:
 
         batch_db = _store(
             tmp_path / "batch.db",
-            CorpusRunner(RecordExtractor()).run(cohort),
+            ResilientCorpusRunner(RecordExtractor()).run(cohort),
         )
         shared = ResultStore(fleet_db)
         assert (

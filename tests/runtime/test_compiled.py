@@ -19,7 +19,7 @@ from repro.linkgrammar.dictionary import Dictionary
 from repro.linkgrammar.parser import LinkGrammarParser
 from repro.ontology.builder import build_concepts, default_ontology
 from repro.ontology.store import CompiledOntology, OntologyStore
-from repro.runtime import CorpusRunner, Tracer
+from repro.runtime import ResilientCorpusRunner, Tracer
 from repro.runtime.compiled import (
     ARTIFACT_VERSION,
     CompiledArtifact,
@@ -375,10 +375,10 @@ class TestExtractionParity:
     def test_traced_runs_equal_span_for_span(self, cohort, artifact):
         records, _ = cohort
         cold_tracer, warm_tracer = Tracer(), Tracer()
-        CorpusRunner(RecordExtractor(), tracer=cold_tracer).run(
+        ResilientCorpusRunner(RecordExtractor(), tracer=cold_tracer).run(
             records
         )
-        CorpusRunner(artifact=artifact, tracer=warm_tracer).run(
+        ResilientCorpusRunner(artifact=artifact, tracer=warm_tracer).run(
             records
         )
         assert _trace_shape(warm_tracer) == _trace_shape(cold_tracer)
@@ -389,10 +389,10 @@ class TestExtractionParity:
         records, golds = cohort
         cold = RecordExtractor()
         cold.train_categorical(records, golds)
-        serial = CorpusRunner(cold).run(records)
+        serial = ResilientCorpusRunner(cold).run(records)
         trained = artifact.make_extractor()
         trained.train_categorical(records, golds)
-        runner = CorpusRunner(
+        runner = ResilientCorpusRunner(
             trained, workers=2, chunk_size=2, artifact=artifact
         )
         assert runner.run(records) == serial
@@ -403,8 +403,8 @@ class TestExtractionParity:
 
     def test_parallel_from_artifact_path(self, cohort, artifact_path):
         records, _ = cohort
-        serial = CorpusRunner(RecordExtractor()).run(records)
-        runner = CorpusRunner(
+        serial = ResilientCorpusRunner(RecordExtractor()).run(records)
+        runner = ResilientCorpusRunner(
             artifact=str(artifact_path), workers=2, chunk_size=2
         )
         assert runner.run(records) == serial
@@ -423,7 +423,7 @@ class TestExtractionParity:
 
 class TestDocumentCacheSizing:
     def test_explicit_size_wins(self, artifact):
-        runner = CorpusRunner(
+        runner = ResilientCorpusRunner(
             artifact=artifact, document_cache_size=512
         )
         assert runner.extractor.caches.documents.maxsize == 512
@@ -432,7 +432,7 @@ class TestDocumentCacheSizing:
         self, cohort
     ):
         records, _ = cohort
-        runner = CorpusRunner(RecordExtractor())
+        runner = ResilientCorpusRunner(RecordExtractor())
         runner.extractor.caches.documents.resize(1000)
         runner.run(records[:2])
         assert runner.extractor.caches.documents.maxsize == 1000
@@ -444,7 +444,7 @@ class TestDocumentCacheSizing:
         # run's lifetime, so its cache must cover that share — the
         # old per-chunk sizing (8 * chunk_size = 800) thrashed as
         # soon as a worker had processed a few chunks.
-        runner = CorpusRunner(workers=4, chunk_size=100)
+        runner = ResilientCorpusRunner(workers=4, chunk_size=100)
         assert runner._target_document_cache_size(10_000) == 4096
         # A small corpus split 4 ways stays at the floor instead of
         # allocating a corpus-sized cache per worker.

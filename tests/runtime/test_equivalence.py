@@ -5,14 +5,15 @@ Three equivalences guard the corpus engine:
 (a) cached extraction (shared documents + cross-record linkage cache)
     equals cold per-attribute extraction on generated cohorts;
 (b) parser output with pruning on equals pruning off;
-(c) ``CorpusRunner(workers=N)`` equals the serial path, order included.
+(c) ``ResilientCorpusRunner(workers=N)`` equals the serial path, order
+    included.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extraction import NumericExtractor, RecordExtractor
-from repro.runtime import CorpusRunner
+from repro.runtime import ResilientCorpusRunner
 from repro.synth import CohortSpec, DictationStyle, RecordGenerator
 
 SPEC = CohortSpec(
@@ -64,8 +65,8 @@ def test_cached_equals_cold_extraction(seed, level):
 def test_runner_parallel_equals_serial(seed):
     """(c) Fan-out changes throughput, not output."""
     records, _ = _cohort(seed, 0.0)
-    serial = CorpusRunner(RecordExtractor(), workers=1).run(records)
-    parallel = CorpusRunner(
+    serial = ResilientCorpusRunner(RecordExtractor(), workers=1).run(records)
+    parallel = ResilientCorpusRunner(
         RecordExtractor(), workers=2, chunk_size=1
     ).run(records)
     assert parallel == serial

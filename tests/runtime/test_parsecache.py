@@ -15,7 +15,6 @@ from repro.errors import ParseCacheError
 from repro.extraction import RecordExtractor
 from repro.linkgrammar import LinkGrammarParser
 from repro.runtime import (
-    CorpusRunner,
     FaultPlan,
     ResilientCorpusRunner,
     RetryPolicy,
@@ -53,7 +52,7 @@ def cohort():
 
 @pytest.fixture(scope="module")
 def baseline(cohort):
-    return CorpusRunner(RecordExtractor()).run(cohort)
+    return ResilientCorpusRunner(RecordExtractor()).run(cohort)
 
 
 def _warm_stack(path=None):
@@ -233,7 +232,7 @@ class TestCorpusParity:
     """Cold -> warm -> restart -> warm equals the uncached run."""
 
     def _run(self, records, workers=1, parse_cache=None):
-        runner = CorpusRunner(
+        runner = ResilientCorpusRunner(
             RecordExtractor(),
             workers=workers,
             chunk_size=2,
@@ -297,7 +296,7 @@ class TestCorpusParity:
         self, workers, hostile_corpus, tmp_path
     ):
         path = tmp_path / "hostile.parsecache"
-        baseline = CorpusRunner(RecordExtractor()).run(
+        baseline = ResilientCorpusRunner(RecordExtractor()).run(
             hostile_corpus
         )
         cold_cache = self._fresh_cache(path)

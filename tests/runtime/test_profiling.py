@@ -3,7 +3,7 @@
 import time
 
 from repro import profiling
-from repro.runtime import CorpusRunner
+from repro.runtime import ResilientCorpusRunner
 from repro.synth import CohortSpec, RecordGenerator
 
 
@@ -75,14 +75,14 @@ class TestStageProfiler:
 class TestRunnerIntegration:
     def test_stages_off_by_default(self):
         records, _ = _cohort()
-        runner = CorpusRunner()
+        runner = ResilientCorpusRunner()
         runner.run(records)
         assert runner.stats()["stages"] == {}
 
     def test_serial_stages_sum_to_extract_time(self):
         records, _ = _cohort()
-        runner = CorpusRunner(profile_stages=True)
-        baseline = CorpusRunner()
+        runner = ResilientCorpusRunner(profile_stages=True)
+        baseline = ResilientCorpusRunner()
         assert runner.run(records) == baseline.run(records)
         stages = runner.stats()["stages"]
         expected = {
@@ -100,8 +100,8 @@ class TestRunnerIntegration:
 
     def test_parallel_workers_ship_stage_deltas(self):
         records, _ = _cohort(8)
-        serial = CorpusRunner().run(records)
-        runner = CorpusRunner(
+        serial = ResilientCorpusRunner().run(records)
+        runner = ResilientCorpusRunner(
             workers=2, chunk_size=2, profile_stages=True
         )
         assert runner.run(records) == serial
@@ -121,7 +121,7 @@ class TestNormalizationHoisting:
         the rest).
         """
         records, _ = _cohort(4)
-        runner = CorpusRunner(profile_stages=True)
+        runner = ResilientCorpusRunner(profile_stages=True)
         runner.run(records)
         stages = runner.stats()["stages"]
         counts = stages["counts"]

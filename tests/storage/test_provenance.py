@@ -5,7 +5,7 @@ import pytest
 from repro.extraction import RecordExtractor
 from repro.extraction.numeric import Method, NumericExtraction
 from repro.extraction.pipeline import ExtractionResult, Provenance
-from repro.runtime import CorpusRunner
+from repro.runtime import ResilientCorpusRunner
 from repro.storage import ResultStore
 from repro.synth import CohortSpec, RecordGenerator
 
@@ -104,7 +104,7 @@ class TestCoverageGate:
         )
         extractor = RecordExtractor()
         extractor.train_categorical(records, golds)
-        results = CorpusRunner(extractor).run(records)
+        results = ResilientCorpusRunner(extractor).run(records)
         store = ResultStore()
         store.store_many(results)
         assert store.missing_provenance() == []
